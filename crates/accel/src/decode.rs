@@ -12,6 +12,80 @@ use crate::energy;
 use crate::{AccelConfig, EnergyBreakdown};
 use dota_transformer::TransformerConfig;
 
+/// Bytes per FX16 value streamed from DRAM.
+const BYTES: u64 = 2;
+
+/// DRAM-traffic cost of decode steps: the layer weights stream once per
+/// step, and K/V-cache traffic scales with the cached connections the
+/// step's attention actually touched. [`simulate_decode`] and the
+/// serving layer's continuous-batching scheduler both price steps with
+/// it; each supplies its own attended-connection counts.
+#[derive(Debug, Clone)]
+pub struct DecodeCost {
+    /// Weight traffic of one step in bytes (all layers: QKV + output + FFN).
+    pub weight_bytes: u64,
+    /// DRAM bytes fetched per attended connection (one K and one V vector
+    /// of `head_dim` FX16 values).
+    pub kv_bytes_per_connection: u64,
+    /// Sustained DRAM bandwidth in bytes per cycle (1 GHz clock).
+    pub bw: f64,
+}
+
+impl DecodeCost {
+    /// Builds the model for an accelerator configuration and model shape.
+    pub fn new(accel: &AccelConfig, model: &TransformerConfig) -> Self {
+        let d = model.d_model as u64;
+        let d_ff = model.d_ff as u64;
+        Self {
+            weight_bytes: model.n_layers as u64 * (4 * d * d + 2 * d * d_ff) * BYTES,
+            kv_bytes_per_connection: 2 * model.head_dim() as u64 * BYTES,
+            bw: accel.dram_gbps,
+        }
+    }
+
+    /// Cycles to stream the layer weights once (paid once per step,
+    /// independent of how many sequences the step decodes).
+    pub fn weight_cycles(&self) -> u64 {
+        (self.weight_bytes as f64 / self.bw).ceil() as u64
+    }
+
+    /// Cycles to stream one sequence's K/V traffic for a step in which its
+    /// attention touched `attended` cached connections (summed over all
+    /// layers and heads).
+    pub fn kv_cycles(&self, attended: u64) -> u64 {
+        ((attended * self.kv_bytes_per_connection) as f64 / self.bw).ceil() as u64
+    }
+
+    /// Total cycles of one step: one weight stream plus every decoded
+    /// sequence's K/V traffic.
+    pub fn step_cycles(&self, attended: impl IntoIterator<Item = u64>) -> u64 {
+        let mut cycles = self.weight_cycles();
+        for a in attended {
+            cycles += self.kv_cycles(a);
+        }
+        cycles
+    }
+
+    /// Rough dense per-token service-cycle estimate for one sequence in a
+    /// batch of `occupancy`, attending over `context` cached positions:
+    /// its share of the weight stream plus its own dense K/V traffic.
+    pub fn per_token_estimate(
+        &self,
+        model: &TransformerConfig,
+        occupancy: usize,
+        context: usize,
+    ) -> f64 {
+        let connections = (model.n_layers * model.n_heads * context) as u64;
+        self.weight_cycles() as f64 / occupancy.max(1) as f64
+            + (connections * self.kv_bytes_per_connection) as f64 / self.bw
+    }
+
+    /// Converts cycles on the model clock to microseconds.
+    pub fn cycles_to_us(cycles: u64) -> f64 {
+        cycles as f64 / (energy::FREQ_GHZ * 1e3)
+    }
+}
+
 /// Result of simulating one autoregressive generation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodeReport {
@@ -68,32 +142,28 @@ pub fn simulate_decode(
         "retention {retention} out of range"
     );
     assert!(gen_tokens > 0, "must generate at least one token");
+    let cost = DecodeCost::new(cfg, model);
     let d = model.d_model as u64;
     let d_ff = model.d_ff as u64;
     let hd = model.head_dim() as u64;
     let heads = model.n_heads as u64;
     let layers = model.n_layers as u64;
-    let bytes = 2u64;
 
-    // Per-token weight traffic (all layers).
-    let weight_bytes = layers * (4 * d * d + 2 * d * d_ff) * bytes;
-    let bw = cfg.dram_gbps; // bytes per cycle at 1 GHz
-
-    let mut weight_stream_cycles = 0u64;
+    let weight_stream_cycles = cost.weight_cycles() * gen_tokens as u64;
     let mut kv_stream_cycles = 0u64;
     let mut macs: u64 = 0;
     let mut detect_macs: u64 = 0;
     let mut kv_bytes_total: u64 = 0;
 
     for t in 0..gen_tokens {
+        // The context before this step's token is appended.
         let context = (prompt_len + t) as u64;
-        weight_stream_cycles += (weight_bytes as f64 / bw).ceil() as u64;
-        // K/V fetch per layer: each head touches `retention * context`
-        // cached K and V vectors of hd FX16 values.
+        // K/V fetch: each layer/head touches `retention * context` cached
+        // K and V vectors.
         let kept = ((retention * context as f64).ceil() as u64).max(1);
-        let kv_bytes = layers * heads * kept * 2 * hd * bytes;
-        kv_bytes_total += kv_bytes;
-        kv_stream_cycles += (kv_bytes as f64 / bw).ceil() as u64;
+        let attended = layers * heads * kept;
+        kv_bytes_total += attended * cost.kv_bytes_per_connection;
+        kv_stream_cycles += cost.kv_cycles(attended);
         // Compute (always shadowed by memory in this regime, but counted
         // for energy).
         macs += layers * (4 * d * d + 2 * d * d_ff) + layers * heads * 2 * kept * hd;
@@ -112,7 +182,7 @@ pub fn simulate_decode(
         scheduler_pj: 0.0,
         accumulator_pj: 0.0,
         sram_pj: 0.0,
-        dram_pj: (weight_bytes * gen_tokens as u64 + kv_bytes_total) as f64
+        dram_pj: (cost.weight_bytes * gen_tokens as u64 + kv_bytes_total) as f64
             * energy::DRAM_PJ_PER_BYTE,
         leakage_pj: energy::SRAM_LEAKAGE_MW * 1e-3 * seconds * 1e12,
     };
@@ -122,7 +192,7 @@ pub fn simulate_decode(
         dota_trace::count("decode.cycles", cycles);
         dota_trace::count("decode.weight_stream_cycles", weight_stream_cycles);
         dota_trace::count("decode.kv_stream_cycles", kv_stream_cycles);
-        dota_trace::count("decode.weight_bytes", weight_bytes * gen_tokens as u64);
+        dota_trace::count("decode.weight_bytes", cost.weight_bytes * gen_tokens as u64);
         dota_trace::count("decode.kv_bytes", kv_bytes_total);
         dota_trace::count("decode.macs_fx16", macs);
         dota_trace::count("decode.macs_detect", detect_macs);
@@ -202,8 +272,8 @@ mod tests {
     /// `kv_stream_cycles` follows its closed form exactly: per generated
     /// token, each layer/head fetches `max(1, ceil(retention * context))`
     /// K and V vectors of `head_dim` FX16 values, rounded up to whole
-    /// DRAM-bandwidth cycles per step. The serving layer's cost model
-    /// builds on this accounting, so it is pinned, not approximated.
+    /// DRAM-bandwidth cycles per step. Serving prices its steps with the
+    /// same [`DecodeCost`], so this is pinned, not approximated.
     #[test]
     fn kv_stream_cycles_match_closed_form() {
         let cfg = AccelConfig::default();
@@ -270,5 +340,49 @@ mod tests {
             assert!(rep.kv_stream_cycles < prev, "ladder must be monotone");
             prev = rep.kv_stream_cycles;
         }
+    }
+
+    fn cost_setup() -> (DecodeCost, TransformerConfig) {
+        let model = TransformerConfig::tiny_causal(48, 16);
+        (DecodeCost::new(&AccelConfig::default(), &model), model)
+    }
+
+    #[test]
+    fn weight_stream_is_paid_once_per_step() {
+        let (cost, _) = cost_setup();
+        let solo = cost.step_cycles([100]);
+        let batch = cost.step_cycles([100, 100, 100, 100]);
+        // Four members cost far less than four solo steps.
+        assert!(batch < 4 * solo, "batch {batch} vs 4x solo {}", 4 * solo);
+        assert_eq!(
+            batch - cost.weight_cycles(),
+            4 * (solo - cost.weight_cycles())
+        );
+    }
+
+    #[test]
+    fn kv_cycles_scale_with_attended_connections() {
+        let (cost, _) = cost_setup();
+        let sparse = cost.kv_cycles(50);
+        let dense = cost.kv_cycles(400);
+        assert!(dense >= 8 * sparse - 8, "{dense} vs {sparse}");
+        assert_eq!(cost.kv_cycles(0), 0);
+    }
+
+    #[test]
+    fn estimate_brackets_actual_dense_step_share() {
+        let (cost, model) = cost_setup();
+        let context = 24;
+        let attended = (model.n_layers * model.n_heads * context) as u64;
+        let occupancy = 8;
+        let est = cost.per_token_estimate(&model, occupancy, context);
+        let actual_share =
+            cost.weight_cycles() as f64 / occupancy as f64 + cost.kv_cycles(attended) as f64;
+        assert!((est - actual_share).abs() <= 1.0, "{est} vs {actual_share}");
+    }
+
+    #[test]
+    fn cycles_to_us_uses_model_clock() {
+        assert_eq!(DecodeCost::cycles_to_us(1000), 1.0);
     }
 }

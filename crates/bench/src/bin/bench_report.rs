@@ -20,7 +20,6 @@
 //! `pool_speedup` is interpretable across hosts — expect ~1.0 on a
 //! single-core container and >3x at 2048² on a real multi-core host.
 
-use dota_metrics::Histogram;
 use dota_quant::{Int4Packed, Int8Matrix, Precision};
 use dota_tensor::rng::SeededRng;
 use dota_tensor::simd::{self, KernelFamily};
@@ -28,10 +27,11 @@ use dota_tensor::{ops, reference, Matrix};
 use serde::Serialize;
 use std::time::Instant;
 
-/// Percentile summary of repeated wall-clock samples of one kernel.
-/// min/p50 come straight from the sample histogram; with the small rep
-/// counts used here p95/p99 collapse toward the max, which is still the
-/// honest tail estimate for the samples taken.
+/// Percentile summary of repeated wall-clock samples of one kernel,
+/// taken by nearest rank from the raw samples (a histogram's bucket
+/// midpoints would quantize every ratio to its ~9% bucket grid). With the
+/// small rep counts used here p95/p99 collapse toward the max, which is
+/// still the honest tail estimate for the samples taken.
 #[derive(Serialize)]
 struct TimingSummary {
     reps: u64,
@@ -43,15 +43,30 @@ struct TimingSummary {
 }
 
 impl TimingSummary {
-    fn from_hist(h: &Histogram) -> Self {
-        let q = |q: f64| h.quantile(q).unwrap_or(f64::NAN);
+    fn from_samples(s: &Samples) -> Self {
         Self {
-            reps: h.count(),
-            min_ms: q(0.0),
-            mean_ms: h.mean().unwrap_or(f64::NAN),
-            p50_ms: q(0.5),
-            p95_ms: q(0.95),
-            p99_ms: q(0.99),
+            reps: s.0.len() as u64,
+            min_ms: s.quantile(0.0),
+            mean_ms: s.0.iter().sum::<f64>() / s.0.len().max(1) as f64,
+            p50_ms: s.quantile(0.5),
+            p95_ms: s.quantile(0.95),
+            p99_ms: s.quantile(0.99),
+        }
+    }
+}
+
+/// Wall-clock milliseconds of repeated runs of one kernel, sorted.
+struct Samples(Vec<f64>);
+
+impl Samples {
+    /// Nearest-rank quantile: the smallest sample with at least fraction
+    /// `q` of the samples at or below it (`q = 0` is the minimum); NaN
+    /// without samples.
+    fn quantile(&self, q: f64) -> f64 {
+        let rank = (q * self.0.len() as f64).ceil() as usize;
+        match self.0.len() {
+            0 => f64::NAN,
+            n => self.0[rank.clamp(1, n) - 1],
         }
     }
 }
@@ -148,20 +163,21 @@ struct Report {
     counters: Vec<CounterScenario>,
 }
 
-/// Wall-clock milliseconds of `reps` runs, as a streaming histogram the
-/// report summarizes into p50/p95/p99 (instead of a single best-of mean),
-/// plus the heap traffic of the reps (requires an open `dota-prof`
-/// session and the `prof-alloc` feature to be nonzero).
-fn time_hist<R>(reps: usize, mut f: impl FnMut() -> R) -> (Histogram, AllocSummary) {
+/// Wall-clock milliseconds of `reps` runs, as raw samples the report
+/// summarizes into p50/p95/p99 (instead of a single best-of mean), plus
+/// the heap traffic of the reps (requires an open `dota-prof` session and
+/// the `prof-alloc` feature to be nonzero).
+fn time_samples<R>(reps: usize, mut f: impl FnMut() -> R) -> (Samples, AllocSummary) {
     let before = dota_prof::alloc_stats();
     dota_prof::reset_peak();
-    let mut h = Histogram::new();
+    let mut ms = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
         let out = f();
-        h.record(t.elapsed().as_secs_f64() * 1e3);
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(out);
     }
+    ms.sort_by(f64::total_cmp);
     let after = dota_prof::alloc_stats();
     let alloc = AllocSummary {
         alloc_mb_per_rep: after.allocated_bytes.saturating_sub(before.allocated_bytes) as f64
@@ -169,7 +185,7 @@ fn time_hist<R>(reps: usize, mut f: impl FnMut() -> R) -> (Histogram, AllocSumma
             / MB,
         peak_mb: after.peak_bytes as f64 / MB,
     };
-    (h, alloc)
+    (Samples(ms), alloc)
 }
 
 fn with_one_thread<R>(f: impl FnOnce() -> R) -> R {
@@ -198,8 +214,8 @@ fn with_family<R>(family: &str, f: impl FnOnce() -> R) -> R {
     out
 }
 
-fn p50(h: &Histogram) -> f64 {
-    h.quantile(0.5).unwrap_or(f64::NAN)
+fn p50(s: &Samples) -> f64 {
+    s.quantile(0.5)
 }
 
 fn gemm_rows(sizes: &[usize]) -> Vec<GemmRow> {
@@ -212,21 +228,22 @@ fn gemm_rows(sizes: &[usize]) -> Vec<GemmRow> {
         // Naive cost grows as size^3; a couple of repetitions suffice for
         // a stable median at the large sizes.
         let (opt_reps, naive_reps) = if size >= 1024 { (3, 2) } else { (7, 3) };
-        let (naive, _) = time_hist(naive_reps, || reference::matmul(&a, &b));
+        let (naive, _) = time_samples(naive_reps, || reference::matmul(&a, &b));
         // Warm the pack-buffer pool so the timed reps see the steady
         // state the alloc column is meant to capture.
         a.matmul_into(&b, &mut out).expect("shape");
-        let (serial, serial_alloc) =
-            with_one_thread(|| time_hist(opt_reps, || a.matmul_into(&b, &mut out).expect("shape")));
-        let (pool, _) = time_hist(opt_reps, || a.matmul_into(&b, &mut out).expect("shape"));
+        let (serial, serial_alloc) = with_one_thread(|| {
+            time_samples(opt_reps, || a.matmul_into(&b, &mut out).expect("shape"))
+        });
+        let (pool, _) = time_samples(opt_reps, || a.matmul_into(&b, &mut out).expect("shape"));
         let row = GemmRow {
             size,
             pool_threads: dota_parallel::num_threads(),
             speedup_vs_naive: p50(&naive) / p50(&serial).max(1e-9),
             pool_speedup: p50(&serial) / p50(&pool).max(1e-9),
-            naive: TimingSummary::from_hist(&naive),
-            optimized_serial: TimingSummary::from_hist(&serial),
-            optimized_pool: TimingSummary::from_hist(&pool),
+            naive: TimingSummary::from_samples(&naive),
+            optimized_serial: TimingSummary::from_samples(&serial),
+            optimized_pool: TimingSummary::from_samples(&pool),
             optimized_alloc: serial_alloc,
         };
         println!(
@@ -262,7 +279,7 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
         }
         a.matmul_into(&b, &mut out).expect("shape"); // warm pools
         let (h, _) = with_family(fam.name(), || {
-            time_hist(reps, || a.matmul_into(&b, &mut out).expect("shape"))
+            time_samples(reps, || a.matmul_into(&b, &mut out).expect("shape"))
         });
         let ms = p50(&h);
         if fam == KernelFamily::Scalar {
@@ -282,7 +299,7 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
     // unpacking on top of the same kernel.
     let q8a = Int8Matrix::quantize(&a, Precision::Int8);
     let q8b = Int8Matrix::quantize(&b, Precision::Int8);
-    let (h8, _) = time_hist(reps, || q8a.matmul_nt_dequant(&q8b).expect("shape"));
+    let (h8, _) = time_samples(reps, || q8a.matmul_nt_dequant(&q8b).expect("shape"));
     rows.push(FamilyRow {
         kernel: "int8".to_owned(),
         available: true,
@@ -292,7 +309,7 @@ fn family_rows(size: usize, reps: usize) -> Vec<FamilyRow> {
     });
     let q4a = Int4Packed::quantize(&a, Precision::Int4);
     let q4b = Int4Packed::quantize(&b, Precision::Int4);
-    let (h4, _) = time_hist(reps, || q4a.matmul_nt_dequant(&q4b).expect("shape"));
+    let (h4, _) = time_samples(reps, || q4a.matmul_nt_dequant(&q4b).expect("shape"));
     rows.push(FamilyRow {
         kernel: "int4".to_owned(),
         available: true,
@@ -327,19 +344,19 @@ fn attention_rows() -> Vec<AttnRow> {
         let kept = ((retention * n as f64).round() as usize).clamp(1, n);
         let sel_row: Vec<u32> = (0..kept).map(|j| (j * n / kept) as u32).collect();
         let selected = vec![sel_row; n];
-        let (dense, _) = time_hist(3, || {
+        let (dense, _) = time_samples(3, || {
             let scores = q.matmul_nt(&k).expect("shape").scale(scale);
             ops::softmax_rows(&scores).matmul(&v).expect("shape")
         });
         let (dota, dota_alloc) =
-            time_hist(3, || ops::sparse_attention(&q, &k, &v, &selected, scale));
+            time_samples(3, || ops::sparse_attention(&q, &k, &v, &selected, scale));
         let row = AttnRow {
             benchmark: b.name().to_owned(),
             seq_len: n,
             retention,
             speedup: p50(&dense) / p50(&dota).max(1e-9),
-            dense: TimingSummary::from_hist(&dense),
-            dota: TimingSummary::from_hist(&dota),
+            dense: TimingSummary::from_samples(&dense),
+            dota: TimingSummary::from_samples(&dota),
             dota_alloc,
         };
         println!(

@@ -40,6 +40,9 @@ use dota_metrics::{Manifest, MetricsSink};
 use dota_workloads::{Benchmark, TaskSpec};
 use std::process::ExitCode;
 
+/// `--flag value` pairs by flag name (see [`parse_flags`]).
+type Flags = std::collections::BTreeMap<String, String>;
+
 fn main() -> ExitCode {
     if let Err(e) = validate_env() {
         eprintln!("error: {e}");
@@ -171,116 +174,130 @@ fn main() -> ExitCode {
     }
 }
 
-/// Rejects malformed observability/threading environment variables up
-/// front: a typo'd `DOTA_THREADS=all` silently falling back to the
-/// default would invalidate a benchmark without any sign of it.
+/// Every `DOTA_*` variable the CLI reads: its name, the check its trimmed
+/// value must pass, and the exact error shown when it fails (`{v}` stands
+/// for the raw value). A typo'd `DOTA_THREADS=all` or serving knob
+/// silently falling back to its default would invalidate a benchmark
+/// without any sign of it, so [`validate_env`] checks every row up front
+/// and commands read their fallbacks through the same [`env_var`].
+const ENV_VARS: &[(&str, EnvCheck, &str)] = &[
+    (
+        "DOTA_THREADS",
+        |v| v.parse::<usize>().is_ok_and(|n| n >= 1),
+        "DOTA_THREADS must be a positive integer, got `{v}`",
+    ),
+    (
+        "DOTA_TRACE",
+        is_path,
+        "DOTA_TRACE is set but empty; set it to an output path or unset it",
+    ),
+    (
+        "DOTA_COUNTERS",
+        is_path,
+        "DOTA_COUNTERS is set but empty; set it to an output path or unset it",
+    ),
+    (
+        "DOTA_HISTS",
+        is_path,
+        "DOTA_HISTS is set but empty; set it to an output path or unset it",
+    ),
+    (
+        "DOTA_PROF",
+        is_path,
+        "DOTA_PROF is set but empty; set it to an output path or unset it",
+    ),
+    (
+        "DOTA_SERVE_BATCH",
+        |v| v.parse::<usize>().is_ok_and(|n| n >= 1),
+        "DOTA_SERVE_BATCH must be a positive integer, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_DEADLINE",
+        |v| v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
+        "DOTA_SERVE_DEADLINE must be a positive number of microseconds, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_SHED",
+        |v| {
+            matches!(
+                v.to_ascii_lowercase().as_str(),
+                "queue" | "queue-only" | "retention" | "shed" | "slo" | "both"
+            )
+        },
+        "DOTA_SERVE_SHED must be queue|retention|slo|both, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_CHAOS",
+        |v| {
+            let rates: Result<Vec<f64>, _> = v
+                .split(',')
+                .filter(|s| !s.trim().is_empty())
+                .map(|s| s.trim().parse::<f64>())
+                .collect();
+            rates.is_ok_and(|rs| {
+                !rs.is_empty() && rs.iter().all(|r| r.is_finite() && (0.0..=1.0).contains(r))
+            })
+        },
+        "DOTA_SERVE_CHAOS must be a comma-separated list of fault rates in [0, 1], got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_RETRY_CAP",
+        |v| v.parse::<usize>().is_ok(),
+        "DOTA_SERVE_RETRY_CAP must be a non-negative integer, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_RETRY_BACKOFF",
+        |v| v.parse::<u64>().is_ok_and(|n| n >= 1),
+        "DOTA_SERVE_RETRY_BACKOFF must be a positive cycle count, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_TIMELINE",
+        is_path,
+        "DOTA_SERVE_TIMELINE is set but empty; set it to an output path or unset it",
+    ),
+    (
+        "DOTA_SERVE_METRICS_ADDR",
+        |v| v.parse::<std::net::SocketAddr>().is_ok(),
+        "DOTA_SERVE_METRICS_ADDR must be a socket address like 127.0.0.1:9184, got `{v}`",
+    ),
+    (
+        "DOTA_SERVE_FLIGHT",
+        is_path,
+        "DOTA_SERVE_FLIGHT is set but empty; set it to an output path or unset it",
+    ),
+];
+
+/// What a set variable's trimmed value must satisfy.
+type EnvCheck = fn(&str) -> bool;
+
+/// The [`ENV_VARS`] check of output-path variables.
+fn is_path(v: &str) -> bool {
+    !v.is_empty()
+}
+
+/// A set variable's trimmed value, or its [`ENV_VARS`] error when the
+/// value fails the check. Unset (or non-Unicode) reads as `None`.
+fn env_var(name: &str) -> Result<Option<String>, String> {
+    let (_, check, error) = ENV_VARS
+        .iter()
+        .find(|row| row.0 == name)
+        .expect("every variable the CLI reads has an ENV_VARS row");
+    let Ok(raw) = std::env::var(name) else {
+        return Ok(None);
+    };
+    let v = raw.trim();
+    if check(v) {
+        Ok(Some(v.to_owned()))
+    } else {
+        Err(error.replace("{v}", &raw))
+    }
+}
+
+/// Rejects every malformed [`ENV_VARS`] variable up front, whatever the
+/// command.
 fn validate_env() -> Result<(), String> {
-    if let Ok(v) = std::env::var("DOTA_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_THREADS must be a positive integer, got `{v}`"
-                ))
-            }
-        }
-    }
-    for name in ["DOTA_TRACE", "DOTA_COUNTERS", "DOTA_HISTS", "DOTA_PROF"] {
-        if let Ok(v) = std::env::var(name) {
-            if v.trim().is_empty() {
-                return Err(format!(
-                    "{name} is set but empty; set it to an output path or unset it"
-                ));
-            }
-        }
-    }
-    // Serving knobs: a typo'd batch size or shed policy silently falling
-    // back to defaults would make one load test incomparable with the
-    // next, so reject malformed values up front like the knobs above.
-    if let Ok(v) = std::env::var("DOTA_SERVE_BATCH") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_BATCH must be a positive integer, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_DEADLINE") {
-        match v.trim().parse::<f64>() {
-            Ok(x) if x > 0.0 && x.is_finite() => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_DEADLINE must be a positive number of microseconds, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_SHED") {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "queue" | "queue-only" | "retention" | "shed" | "slo" | "both" => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_SHED must be queue|retention|slo|both, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_CHAOS") {
-        let rates: Result<Vec<f64>, _> = v
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().parse::<f64>())
-            .collect();
-        match rates {
-            Ok(rs) if !rs.is_empty() && rs.iter().all(|r| r.is_finite() && (0.0..=1.0).contains(r)) => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_CHAOS must be a comma-separated list of fault rates in [0, 1], got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_RETRY_CAP") {
-        if v.trim().parse::<usize>().is_err() {
-            return Err(format!(
-                "DOTA_SERVE_RETRY_CAP must be a non-negative integer, got `{v}`"
-            ));
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_RETRY_BACKOFF") {
-        match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => {}
-            _ => {
-                return Err(format!(
-                    "DOTA_SERVE_RETRY_BACKOFF must be a positive cycle count, got `{v}`"
-                ))
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_TIMELINE") {
-        if v.trim().is_empty() {
-            return Err(
-                "DOTA_SERVE_TIMELINE is set but empty; set it to an output path or unset it"
-                    .to_owned(),
-            );
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_METRICS_ADDR") {
-        if v.trim().parse::<std::net::SocketAddr>().is_err() {
-            return Err(format!(
-                "DOTA_SERVE_METRICS_ADDR must be a socket address like 127.0.0.1:9184, got `{v}`"
-            ));
-        }
-    }
-    if let Ok(v) = std::env::var("DOTA_SERVE_FLIGHT") {
-        if v.trim().is_empty() {
-            return Err(
-                "DOTA_SERVE_FLIGHT is set but empty; set it to an output path or unset it"
-                    .to_owned(),
-            );
-        }
+    for (name, ..) in ENV_VARS {
+        env_var(name)?;
     }
     // A typo'd kernel family (or one this CPU cannot run) would silently
     // fall back and invalidate a benchmark, exactly like a bad
@@ -288,10 +305,19 @@ fn validate_env() -> Result<(), String> {
     dota_tensor::simd::family_from_env_checked().map(|_| ())
 }
 
-/// A non-empty environment variable as a path fallback for the matching
-/// CLI flag ([`validate_env`] has already rejected set-but-empty values).
+/// An environment variable as a path fallback for the matching global
+/// flag ([`validate_env`] has already rejected set-but-empty values).
 fn env_path(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.trim().is_empty())
+    env_var(name).ok().flatten()
+}
+
+/// `--flag`'s value, else the `env` variable's: flag wins over
+/// environment wins over the caller's default.
+fn flag_or_env(flags: &Flags, flag: &str, env: &str) -> Result<Option<String>, String> {
+    match flags.get(flag) {
+        Some(v) => Ok(Some(v.clone())),
+        None => env_var(env),
+    }
 }
 
 /// Opens the global fault-injection session requested by `--faults`
@@ -415,11 +441,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag_usize(&flags, "seed")? {
         opts.seed = s as u64;
     }
-    // Flag wins over environment wins over default ([`validate_env`] has
-    // already rejected malformed DOTA_SERVE_* values).
-    if let Some(c) = flag_usize(&flags, "capacity")?
-        .or_else(|| std::env::var("DOTA_SERVE_BATCH").ok()?.trim().parse().ok())
-    {
+    let capacity = flag_or_env(&flags, "capacity", "DOTA_SERVE_BATCH")?;
+    if let Some(c) = parse_flag("capacity", capacity.as_deref(), "an integer")? {
         opts.capacity = c;
     }
     if let Some(q) = flag_usize(&flags, "queue")? {
@@ -428,22 +451,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = flag_usize(&flags, "seq")? {
         opts.seq = s;
     }
-    if let Some(d) = flag_f64(&flags, "deadline-interactive")?.or_else(|| {
-        std::env::var("DOTA_SERVE_DEADLINE")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
+    let deadline = flag_or_env(&flags, "deadline-interactive", "DOTA_SERVE_DEADLINE")?;
+    if let Some(d) = parse_flag("deadline-interactive", deadline.as_deref(), "a number")? {
         opts.interactive_deadline_us = d;
     }
     if let Some(d) = flag_f64(&flags, "deadline-batch")? {
         opts.batch_deadline_us = d;
     }
-    let shed_spec = flags
-        .get("shed")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_SHED"));
+    let shed_spec = flag_or_env(&flags, "shed", "DOTA_SERVE_SHED")?;
     if let Some(spec) = &shed_spec {
         if !chaos {
             opts.sheds = match spec.trim().to_ascii_lowercase().as_str() {
@@ -475,16 +490,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(w) = flag_usize(&flags, "slo-window")? {
         opts.slo_window = w;
     }
-    // Flag wins over environment wins over off (same ladder as --timeline;
-    // [`validate_env`] has already rejected malformed values).
-    let metrics_addr = flags
-        .get("metrics-addr")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_METRICS_ADDR"));
-    let flight_path = flags
-        .get("flight-out")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_FLIGHT"));
+    let metrics_addr = flag_or_env(&flags, "metrics-addr", "DOTA_SERVE_METRICS_ADDR")?;
+    let flight_path = flag_or_env(&flags, "flight-out", "DOTA_SERVE_FLIGHT")?;
     if chaos {
         if flags.contains_key("timeline") {
             return Err(
@@ -502,10 +509,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         return cmd_serve_chaos(opts, shed_spec.as_deref(), &flags);
     }
-    let timeline_path = flags
-        .get("timeline")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_TIMELINE"));
+    let timeline_path = flag_or_env(&flags, "timeline", "DOTA_SERVE_TIMELINE")?;
     opts.timeline = timeline_path.is_some();
 
     // The telemetry plane observes the engine and never feeds back into
@@ -664,10 +668,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     if let Some(extra) = positional.first() {
         return Err(format!("top takes no positional arguments, got `{extra}`"));
     }
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_METRICS_ADDR"))
+    let addr = flag_or_env(&flags, "addr", "DOTA_SERVE_METRICS_ADDR")?
         .ok_or("top needs --addr HOST:PORT (or DOTA_SERVE_METRICS_ADDR)")?;
     let interval_ms = flag_usize(&flags, "interval-ms")?.unwrap_or(1000) as u64;
     let ticks = if once {
@@ -704,7 +705,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 fn cmd_serve_chaos(
     bench: dota_serve::BenchOptions,
     shed_spec: Option<&str>,
-    flags: &std::collections::BTreeMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), String> {
     let mut opts = dota_serve::ChaosOptions {
         bench,
@@ -718,13 +719,7 @@ fn cmd_serve_chaos(
         }
         opts.shed = dota_serve::ShedPolicy::parse(spec.trim())?;
     }
-    // Flag wins over environment wins over default ([`validate_env`] has
-    // already rejected malformed DOTA_SERVE_* values).
-    if let Some(list) = flags
-        .get("chaos-rates")
-        .cloned()
-        .or_else(|| env_path("DOTA_SERVE_CHAOS"))
-    {
+    if let Some(list) = flag_or_env(flags, "chaos-rates", "DOTA_SERVE_CHAOS")? {
         opts.rates = list
             .split(',')
             .filter(|s| !s.trim().is_empty())
@@ -745,23 +740,13 @@ fn cmd_serve_chaos(
     if let Some(s) = flag_usize(flags, "chaos-seed")? {
         opts.fault_seed = s as u64;
     }
-    if let Some(c) = flag_usize(flags, "retry-cap")?.or_else(|| {
-        std::env::var("DOTA_SERVE_RETRY_CAP")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
+    let retry_cap = flag_or_env(flags, "retry-cap", "DOTA_SERVE_RETRY_CAP")?;
+    if let Some(c) = parse_flag("retry-cap", retry_cap.as_deref(), "an integer")? {
         opts.retry_cap = c;
     }
-    if let Some(b) = flag_usize(flags, "retry-backoff")?.or_else(|| {
-        std::env::var("DOTA_SERVE_RETRY_BACKOFF")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()
-    }) {
-        opts.retry_backoff_cycles = b as u64;
+    let backoff = flag_or_env(flags, "retry-backoff", "DOTA_SERVE_RETRY_BACKOFF")?;
+    if let Some(b) = parse_flag("retry-backoff", backoff.as_deref(), "an integer")? {
+        opts.retry_backoff_cycles = b;
     }
     if let Some(q) = flag_usize(flags, "quarantine")? {
         opts.quarantine_cycles = q as u64;
@@ -1037,9 +1022,7 @@ fn parse_variant(s: &str) -> Result<OperatingPoint, String> {
 
 /// Extracts `--flag value` from an argument list; returns remaining
 /// positional arguments.
-fn parse_flags(
-    args: &[String],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
+fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags = std::collections::BTreeMap::new();
     let mut it = args.iter();
@@ -1054,30 +1037,24 @@ fn parse_flags(
     Ok((positional, flags))
 }
 
-fn flag_f64(
-    flags: &std::collections::BTreeMap<String, String>,
+/// Parses an optional `--name` value; `what` completes the error
+/// (`--seq must be an integer`).
+fn parse_flag<T: std::str::FromStr>(
     name: &str,
-) -> Result<Option<f64>, String> {
-    flags
-        .get(name)
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("--{name} must be a number"))
-        })
+    value: Option<&str>,
+    what: &str,
+) -> Result<Option<T>, String> {
+    value
+        .map(|v| v.parse().map_err(|_| format!("--{name} must be {what}")))
         .transpose()
 }
 
-fn flag_usize(
-    flags: &std::collections::BTreeMap<String, String>,
-    name: &str,
-) -> Result<Option<usize>, String> {
-    flags
-        .get(name)
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--{name} must be an integer"))
-        })
-        .transpose()
+fn flag_f64(flags: &Flags, name: &str) -> Result<Option<f64>, String> {
+    parse_flag(name, flags.get(name).map(String::as_str), "a number")
+}
+
+fn flag_usize(flags: &Flags, name: &str) -> Result<Option<usize>, String> {
+    parse_flag(name, flags.get(name).map(String::as_str), "an integer")
 }
 
 fn cmd_table2() -> Result<(), String> {
@@ -1574,10 +1551,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// joins a serve timeline (from `dota serve --timeline`) with the cost
 /// and retention-window models and reports per-tier degradation, latency
 /// decomposition and the worst deadline-budget burns.
-fn cmd_analyze_serve(
-    timeline: &str,
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<(), String> {
+fn cmd_analyze_serve(timeline: &str, flags: &Flags) -> Result<(), String> {
     let top = flag_usize(flags, "top")?.unwrap_or(5);
     let raw = std::fs::read_to_string(timeline)
         .map_err(|e| format!("reading serve timeline {timeline}: {e}"))?;

@@ -17,10 +17,10 @@
 //! every other report in this repository.
 
 use crate::control::{ControlConfig, ControlSummary};
-use crate::cost::CostModel;
 use crate::engine::{ServeEngine, ShedPolicy};
 use crate::report::{mean_service_cycles, traffic_proto, BenchOptions};
 use crate::request::FinishReason;
+use dota_accel::decode::DecodeCost;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_faults::{FaultPlan, FaultSite};
@@ -319,7 +319,7 @@ pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
     let mut params = ParamSet::new();
     let model = Model::init(mcfg.clone(), &mut params, b.seed);
     let accel = AccelConfig::default();
-    let cost = CostModel::new(&accel, &mcfg);
+    let cost = DecodeCost::new(&accel, &mcfg);
     let mean_service = mean_service_cycles(b, &cost, &mcfg);
 
     let mut cells = Vec::with_capacity(b.loads.len() * opts.rates.len());
@@ -366,7 +366,7 @@ pub fn run_chaos(opts: ChaosOptions) -> Result<ChaosReport, String> {
                     FinishReason::Failed => failed += 1,
                 }
                 if c.reason != FinishReason::Rejected {
-                    e2e.record(CostModel::cycles_to_us(c.e2e()));
+                    e2e.record(DecodeCost::cycles_to_us(c.e2e()));
                 }
             }
             // Peak simultaneous quarantine from the interval log (the log

@@ -3,7 +3,7 @@
 //! [`ServeEngine`] drives the real incremental decode path
 //! ([`Model::decode_step`]) for a whole population of requests at once.
 //! Time is the accelerator's 1 GHz cycle clock, advanced by the
-//! [`CostModel`] after every step, so the run — admission decisions,
+//! [`DecodeCost`] after every step, so the run — admission decisions,
 //! latencies, the serialized report — is a pure function of the request
 //! trace and the configuration: byte-identical across `DOTA_THREADS` and
 //! serial vs `parallel` builds (the scheduler loop is serial; only the
@@ -27,11 +27,11 @@
 //!    overran their deadline leave the batch at step boundaries.
 
 use crate::control::{ControlConfig, ControlInputs, ControlSummary, Controller};
-use crate::cost::CostModel;
 use crate::request::{Completion, DeadlineClass, FinishReason, Request};
 use crate::selector::WindowSelector;
 use crate::slo::{SloMonitor, SloWindow};
 use crate::timeline::{RequestTimeline, StepRecord, TimelineRecorder};
+use dota_accel::decode::DecodeCost;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_faults::FaultSite;
@@ -371,7 +371,7 @@ pub struct ServeEngine<'m> {
     model: &'m Model,
     params: &'m ParamSet,
     cfg: ServeConfig,
-    cost: CostModel,
+    cost: DecodeCost,
     now: u64,
     /// Pending queues: `[interactive, batch]`, each FIFO.
     queues: [VecDeque<Queued>; 2],
@@ -426,7 +426,7 @@ impl<'m> ServeEngine<'m> {
         if !model.config().causal {
             return Err("serving requires a causal (decoder) model".into());
         }
-        let cost = CostModel::new(accel, model.config());
+        let cost = DecodeCost::new(accel, model.config());
         let slo = (cfg.slo_window > 0).then(|| SloMonitor::new(cfg.slo_window));
         let control = (cfg.shed == ShedPolicy::Slo)
             .then(|| Controller::new(cfg.control.clone(), cfg.ladder.len() - 1));
@@ -461,11 +461,6 @@ impl<'m> ServeEngine<'m> {
             flight: None,
             gauges: None,
         })
-    }
-
-    /// The engine's cost model (shared with traffic calibration).
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Sets the prefix of the engine's Chrome-trace counter tracks

@@ -9,9 +9,9 @@
 //! - [`ServeEngine`] — a continuous-batching scheduler over the real
 //!   incremental decode path ([`dota_transformer::Model::decode_step`]):
 //!   requests join at step boundaries, leave on completion/EOS/deadline,
-//!   and every step's latency comes from a DRAM-traffic [`CostModel`]
-//!   (weights streamed once per step, K/V per request) on the simulated
-//!   1 GHz cycle clock.
+//!   and every step's latency comes from the accelerator's DRAM-traffic
+//!   [`DecodeCost`](dota_accel::decode::DecodeCost) (weights streamed once
+//!   per step, K/V per request) on the simulated 1 GHz cycle clock.
 //! - [`ShedPolicy`] — under overload, either queue at full quality
 //!   ([`ShedPolicy::QueueOnly`]) or admit at progressively sparser
 //!   attention down a retention [ladder](ServeConfig::ladder)
@@ -42,7 +42,6 @@
 
 mod chaos;
 mod control;
-mod cost;
 mod engine;
 mod report;
 mod request;
@@ -53,7 +52,6 @@ mod traffic;
 
 pub use chaos::{run_chaos, ChaosCell, ChaosOptions, ChaosReport, SERVE_CHAOS_VERSION};
 pub use control::{ControlConfig, ControlInputs, ControlSummary, Controller};
-pub use cost::CostModel;
 pub use engine::{QuarantineSpan, ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
 pub use report::{run_bench, BenchOptions, BenchReport, CellReport, SERVE_REPORT_VERSION};
 pub use request::{Completion, DeadlineClass, FinishReason, Request};

@@ -9,11 +9,11 @@
 //! settings, serial vs `parallel` builds, and machines. `dota report diff`
 //! can therefore treat any drift as a real behaviour change.
 
-use crate::cost::CostModel;
 use crate::engine::{ServeConfig, ServeEngine, ServeOutcome, ShedPolicy};
 use crate::request::FinishReason;
 use crate::timeline::{CellTimeline, TimelineConfig, TimelineReport};
 use crate::traffic::TrafficConfig;
+use dota_accel::decode::DecodeCost;
 use dota_accel::AccelConfig;
 use dota_autograd::ParamSet;
 use dota_metrics::{fmt_f64, Histogram};
@@ -124,7 +124,7 @@ impl BenchOptions {
             ));
         }
         self.serve_config(self.sheds[0]).validate()?;
-        Ok(())
+        traffic_proto(self).validate()
     }
 
     pub(crate) fn serve_config(&self, shed: ShedPolicy) -> ServeConfig {
@@ -255,11 +255,11 @@ impl CellReport {
             if c.reason == FinishReason::Rejected {
                 continue;
             }
-            let wait = CostModel::cycles_to_us(c.queue_wait());
+            let wait = DecodeCost::cycles_to_us(c.queue_wait());
             cell.queue_wait_us.record(wait);
             dota_metrics::observe("serve.queue_wait_us", wait);
             if let Some(t) = c.ttft() {
-                let t = CostModel::cycles_to_us(t);
+                let t = DecodeCost::cycles_to_us(t);
                 cell.ttft_us.record(t);
                 dota_metrics::observe("serve.ttft_us", t);
             }
@@ -268,7 +268,7 @@ impl CellReport {
                 cell.per_token_us.record(gap);
                 dota_metrics::observe("serve.per_token_us", gap);
             }
-            let e2e = CostModel::cycles_to_us(c.e2e());
+            let e2e = DecodeCost::cycles_to_us(c.e2e());
             cell.e2e_us.record(e2e);
             dota_metrics::observe("serve.e2e_us", e2e);
         }
@@ -440,7 +440,7 @@ pub(crate) fn traffic_proto(opts: &BenchOptions) -> TrafficConfig {
 /// to a mean interarrival gap of `mean_service / L`.
 pub(crate) fn mean_service_cycles(
     opts: &BenchOptions,
-    cost: &CostModel,
+    cost: &DecodeCost,
     mcfg: &TransformerConfig,
 ) -> f64 {
     let mean_positions = traffic_proto(opts).mean_positions();
@@ -466,7 +466,7 @@ pub fn run_bench(opts: BenchOptions) -> Result<BenchReport, String> {
     let mut params = ParamSet::new();
     let model = Model::init(mcfg.clone(), &mut params, opts.seed);
     let accel = AccelConfig::default();
-    let cost = CostModel::new(&accel, &mcfg);
+    let cost = DecodeCost::new(&accel, &mcfg);
 
     let traffic_proto = traffic_proto(&opts);
     let mean_service = mean_service_cycles(&opts, &cost, &mcfg);

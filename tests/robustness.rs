@@ -463,6 +463,27 @@ fn cli_chaos_env_knobs_apply_with_flag_precedence() {
     );
 }
 
+/// An empty traffic trace is an invalid option, not a crash: both the
+/// load test and the chaos campaign reject `--requests 0` with a typed
+/// error and a nonzero exit.
+#[test]
+fn cli_serve_rejects_zero_requests_without_panicking() {
+    for mode in [&["serve"][..], &["serve", "--chaos"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dota"))
+            .args(mode)
+            .args(["--requests", "0"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{mode:?} --requests 0 exited zero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: traffic needs at least one request"),
+            "stderr for {mode:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{mode:?} panicked: {stderr}");
+    }
+}
+
 /// `report diff --allow-added` tolerates keys that exist only in run B
 /// (schema additions) but still fails on vanished ones: additions are a
 /// distinct class, not silently-accepted regressions.
