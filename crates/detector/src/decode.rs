@@ -49,7 +49,11 @@ impl<'a> DotaDecodeSelector<'a> {
             n_heads,
             cache: RefCell::new(SketchCache {
                 keys: (0..n_layers)
-                    .map(|_| (0..n_heads).map(|_| Matrix::zeros(0, 1)).collect())
+                    .map(|l| {
+                        (0..n_heads)
+                            .map(|h| Matrix::zeros(0, hook.detector(l, h).rank()))
+                            .collect()
+                    })
                     .collect(),
                 len: 0,
             }),
@@ -75,12 +79,9 @@ impl DecodeSelector for DotaDecodeSelector<'_> {
         // calling attention, so cache_len already includes the new row).
         {
             let mut cache = self.cache.borrow_mut();
-            let slot = &mut cache.keys[layer][head];
-            *slot = if slot.rows() == 0 {
-                k_row
-            } else {
-                Matrix::vcat(&[slot, &k_row]).expect("sketch width fixed")
-            };
+            cache.keys[layer][head]
+                .push_row(k_row.row(0))
+                .expect("sketch width is the detector rank");
             if layer == 0 && head == 0 {
                 cache.len = cache_len;
             }

@@ -153,19 +153,20 @@ impl LowRankDetector {
                     .collect()
             }
             SelectionStrategy::GlobalThreshold => {
-                // Keep the strongest `retention` fraction of all entries.
+                // Keep the strongest `retention` fraction of all entries:
+                // every entry ranked at or above the `keep`-th in
+                // `top_k_indices`'s order (NaN last), ties included.
                 let total = n_rows * n_cols;
                 let keep = ((retention * total as f64).round() as usize).clamp(1, total);
-                let mut all: Vec<f32> = scores.iter().copied().collect();
-                all.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-                let thresh = all[keep - 1];
+                let mut keys: Vec<u32> = scores.iter().map(|&v| topk::score_key(v)).collect();
+                let (_, &mut thresh, _) = keys.select_nth_unstable_by(keep - 1, |a, b| b.cmp(a));
                 (0..n_rows)
                     .map(|r| {
                         let row = scores.row(r);
                         let mut sel: Vec<u32> = row
                             .iter()
                             .enumerate()
-                            .filter(|(_, &v)| v >= thresh)
+                            .filter(|(_, &v)| topk::score_key(v) >= thresh)
                             .map(|(j, _)| j as u32)
                             .collect();
                         // A row may legitimately end up empty under a global
@@ -285,6 +286,71 @@ mod tests {
         // Rows vary in count — that is the point of the ablation.
         let counts: Vec<usize> = sel.iter().map(Vec::len).collect();
         assert!(counts.iter().any(|&c| c != counts[0]));
+    }
+
+    /// Wide score rows salted with NaNs: a comparator that is not a total
+    /// order makes the standard sort panic on rows like these.
+    fn nan_salted_scores() -> Matrix {
+        let mut rng = SeededRng::new(8);
+        let mut scores = rng.normal_matrix(48, 2048, 1.0);
+        for _ in 0..3000 {
+            let (r, c) = (rng.below(48), rng.below(2048));
+            scores[(r, c)] = f32::NAN;
+        }
+        scores
+    }
+
+    #[test]
+    fn balanced_top_k_ranks_nan_last() {
+        let scores = nan_salted_scores();
+        let cfg = DetectorConfig::new(0.1);
+        let k = cfg.keys_per_row(2048);
+        let want: Vec<Vec<u32>> = scores
+            .rows_iter()
+            .map(|row| {
+                let idx = dota_tensor::reference::top_k_indices(row, k);
+                idx.into_iter().map(|i| i as u32).collect()
+            })
+            .collect();
+        assert_eq!(LowRankDetector::select(&cfg, &scores), want);
+        // All-NaN scores (a NaN quantization scale) tie everywhere: the
+        // lowest indices win.
+        let nan = Matrix::filled(4, 10, f32::NAN);
+        let sel = LowRankDetector::select(&cfg, &nan);
+        assert!(sel.iter().all(|r| *r == vec![0u32]));
+    }
+
+    #[test]
+    fn global_threshold_ranks_nan_last() {
+        // The threshold is the `keep`-th score with NaN ranked after every
+        // number; a row keeps every score ranked at or above it.
+        let scores = nan_salted_scores();
+        let cfg = DetectorConfig::new(0.1).with_strategy(SelectionStrategy::GlobalThreshold);
+        let all: Vec<f32> = scores.iter().copied().collect();
+        let keep = (0.1 * all.len() as f64).round() as usize;
+        let ranked = dota_tensor::reference::top_k_indices(&all, keep);
+        let thresh = all[*ranked.last().unwrap()];
+        let at_or_above = |v: f32| thresh.is_nan() || (!v.is_nan() && v >= thresh);
+        let want: Vec<Vec<u32>> = scores
+            .rows_iter()
+            .map(|row| {
+                let sel: Vec<u32> = (0..row.len())
+                    .filter(|&j| at_or_above(row[j]))
+                    .map(|j| j as u32)
+                    .collect();
+                if sel.is_empty() {
+                    vec![dota_tensor::reference::top_k_indices(row, 1)[0] as u32]
+                } else {
+                    sel
+                }
+            })
+            .collect();
+        assert_eq!(LowRankDetector::select(&cfg, &scores), want);
+        // All-NaN scores: the threshold itself is NaN, so every entry ties
+        // with it and is kept.
+        let nan = Matrix::filled(4, 10, f32::NAN);
+        let sel = LowRankDetector::select(&cfg, &nan);
+        assert!(sel.iter().all(|r| *r == (0..10).collect::<Vec<u32>>()));
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! to the cycle model in `BENCH_kernels.json`:
 //!
 //! * [`Int8Matrix`] — codes narrowed to `i8` (any [`Precision`] of ≤ 8
-//!   bits fits), with an i32-accumulating `A·Bᵀ` kernel that runs AVX2
-//!   `madd` lanes when the host has them.
+//!   bits fits), with an i32-accumulating `A·Bᵀ` kernel.
 //! * [`Int4Packed`] — two INT4 codes per byte (the storage the RMMU's
-//!   bit-fusion blocks assume), unpacked strip-wise into the `i8` kernel.
+//!   bit-fusion blocks assume), unpacked once into the same kernel.
 //!
+//! The kernel packs the key operand (`B`) once into panels of 8 keys with
+//! the depth interleaved in pairs as `i16`, and each query row's codes
+//! into `i32` words holding one depth pair. A tile of 4 query rows × 8 keys
+//! then costs one panel load, 4 broadcasts and 4 AVX2 `madd_epi16` per
+//! depth pair, with every sum kept in a register — at the detector's depth
+//! of 12 that replaces 32 separate dot products, each paying a call and a
+//! scalar tail. Hosts without AVX2 run the same tiles in scalar code.
 //! Integer addition is associative, so the SIMD and scalar paths are
-//! bitwise identical by construction — no kernel-family knob is needed
-//! here, only availability. Scale handling is exactly
+//! bitwise identical at every depth by construction — no kernel-family
+//! knob is needed here, only availability. Scale handling is exactly
 //! [`QuantizedMatrix`]'s: symmetric, zero-point 0, output scaled by the
 //! product of the operand scales.
 //!
@@ -127,74 +133,188 @@ impl Int8Matrix {
             ));
         }
         let _prof = dota_prof::span("gemm.qmatmul_nt_i8");
-        let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if self.cols >= I32_SAFE_K {
-            // i64 fallback for pathological depths; never hit by the
-            // paper's sequence lengths.
-            for i in 0..self.rows {
-                let a = self.code_row(i);
-                let row = out.row_mut(i);
-                for (j, o) in row.iter_mut().enumerate() {
-                    let b = other.code_row(j);
-                    let acc: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
-                    *o = acc as f32 * out_scale;
-                }
-            }
-            return Ok(out);
-        }
-        for i in 0..self.rows {
-            let a = self.code_row(i);
-            let row = out.row_mut(i);
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = dot_i8(a, other.code_row(j)) as f32 * out_scale;
-            }
-        }
-        Ok(out)
+        Ok(matmul_nt_codes(
+            &self.data,
+            self.rows,
+            &other.data,
+            other.rows,
+            self.cols,
+            self.scale * other.scale,
+        ))
     }
 }
 
-/// `i8` dot product with `i32` accumulation — AVX2 `madd` lanes when the
-/// host has them, the scalar loop otherwise; both paths produce identical
-/// bits (integer addition is associative).
-///
-/// Caller guarantees `a.len() == b.len() < `[`I32_SAFE_K`].
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() < I32_SAFE_K);
+/// Query rows per tile: `MR` accumulators share each key-panel load.
+const MR: usize = 4;
+/// Keys per panel: one AVX2 register of eight `i32` sums per query row.
+const NR: usize = 8;
+
+/// `a · bᵀ` over `i8` codes (`a` is `m × k`, `b` is `n × k`, both
+/// row-major), each exact integer sum converted to `f32` and multiplied by
+/// `out_scale`. Depths of [`I32_SAFE_K`] or more take the `i64` path.
+fn matmul_nt_codes(a: &[i8], m: usize, b: &[i8], n: usize, k: usize, out_scale: f32) -> Matrix {
+    if k >= I32_SAFE_K {
+        // Never hit by the paper's sequence lengths.
+        return matmul_nt_i64(a, m, b, n, k, out_scale);
+    }
+    let packed = Packed::new(a, m, b, n, k);
+    let mut out = Matrix::zeros(m, n);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 verified; equal lengths asserted.
-        return unsafe { dot_i8_avx2(a, b) };
+        // SAFETY: AVX2 verified just above, the only requirement.
+        unsafe { tiles_avx2(&packed, &mut out, out_scale) };
+        return out;
     }
-    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+    tiles_scalar(&packed, &mut out, out_scale);
+    out
 }
 
+/// The operands of [`matmul_nt_codes`] in tile order.
+struct Packed {
+    /// Query rows padded to a whole tile, one depth pair per `i32` (low
+    /// half the even depth), matching the panels' lane order.
+    a_words: Vec<i32>,
+    /// Key panels of `NR` keys: per depth pair, `[b_t[2p], b_t[2p+1]]` for
+    /// each key `t`; missing keys are zero.
+    panels: Vec<i16>,
+    /// Depth pairs per row; a zero depth still packs one all-zero pair.
+    pairs: usize,
+}
+
+impl Packed {
+    fn new(a: &[i8], m: usize, b: &[i8], n: usize, k: usize) -> Self {
+        let pairs = k.div_ceil(2).max(1);
+        let code = |row: &[i8], p: usize| -> [i16; 2] {
+            let at = |c: usize| row.get(c).map_or(0, |&x| i16::from(x));
+            [at(2 * p), at(2 * p + 1)]
+        };
+        let mut a_words = vec![0i32; m.div_ceil(MR) * MR * pairs];
+        for i in 0..m {
+            let row = &a[i * k..(i + 1) * k];
+            for p in 0..pairs {
+                let [lo, hi] = code(row, p);
+                a_words[i * pairs + p] = i32::from(lo as u16) | (i32::from(hi) << 16);
+            }
+        }
+        let mut panels = vec![0i16; n.div_ceil(NR) * pairs * 2 * NR];
+        for j in 0..n {
+            let row = &b[j * k..(j + 1) * k];
+            let (panel, t) = (j / NR, j % NR);
+            for p in 0..pairs {
+                let at = (panel * pairs + p) * 2 * NR + 2 * t;
+                panels[at..at + 2].copy_from_slice(&code(row, p));
+            }
+        }
+        Self {
+            a_words,
+            panels,
+            pairs,
+        }
+    }
+}
+
+/// Writes one tile's sums into `out` at `(i0, j0)`, clipped to the matrix.
+fn store_tile(out: &mut Matrix, i0: usize, j0: usize, acc: &[[i32; NR]; MR], out_scale: f32) {
+    let (m, n) = out.shape();
+    for (r, sums) in acc.iter().enumerate().take(m - i0) {
+        let row = &mut out.row_mut(i0 + r)[j0..(j0 + NR).min(n)];
+        for (o, &s) in row.iter_mut().zip(sums) {
+            *o = s as f32 * out_scale;
+        }
+    }
+}
+
+/// Portable tiles over [`Packed`] operands.
+fn tiles_scalar(packed: &Packed, out: &mut Matrix, out_scale: f32) {
+    let pairs = packed.pairs;
+    for (ib, words) in packed.a_words.chunks_exact(MR * pairs).enumerate() {
+        for (jb, panel) in packed.panels.chunks_exact(2 * NR * pairs).enumerate() {
+            let mut acc = [[0i32; NR]; MR];
+            for (p, lanes) in panel.chunks_exact(2 * NR).enumerate() {
+                for (r, sums) in acc.iter_mut().enumerate() {
+                    let w = words[r * pairs + p];
+                    let (lo, hi) = (i32::from(w as i16), w >> 16);
+                    for (s, b) in sums.iter_mut().zip(lanes.chunks_exact(2)) {
+                        *s += lo * i32::from(b[0]) + hi * i32::from(b[1]);
+                    }
+                }
+            }
+            store_tile(out, ib * MR, jb * NR, &acc, out_scale);
+        }
+    }
+}
+
+/// AVX2 tiles over [`Packed`] operands; bitwise identical to
+/// [`tiles_scalar`].
+///
 /// # Safety
 ///
-/// Requires AVX2; slices must be equal length with `i32`-safe depth.
+/// Requires AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
+unsafe fn tiles_avx2(packed: &Packed, out: &mut Matrix, out_scale: f32) {
     use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 16 <= n {
-        // 16 i8 → 16 i16 lanes, then madd pairs into 8 i32 partial sums.
-        let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i) as *const __m128i));
-        let bv = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-        i += 16;
+    let (m, n) = out.shape();
+    let pairs = packed.pairs;
+    let scale = _mm256_set1_ps(out_scale);
+    for (ib, words) in packed.a_words.chunks_exact(MR * pairs).enumerate() {
+        let i0 = ib * MR;
+        for (jb, panel) in packed.panels.chunks_exact(2 * NR * pairs).enumerate() {
+            let j0 = jb * NR;
+            let mut acc = [_mm256_setzero_si256(); MR];
+            for p in 0..pairs {
+                // SAFETY: `panel` holds `pairs` runs of 16 `i16`.
+                let b = _mm256_loadu_si256(panel.as_ptr().add(p * 2 * NR) as *const __m256i);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let w = _mm256_set1_epi32(words[r * pairs + p]);
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(w, b));
+                }
+            }
+            if i0 + MR <= m && j0 + NR <= n {
+                for (r, a) in acc.iter().enumerate() {
+                    let row = out.row_mut(i0 + r)[j0..j0 + NR].as_mut_ptr();
+                    // `cvtepi32_ps` rounds to nearest like `as f32`, and
+                    // `mul_ps` is the same IEEE product as the scalar `*`.
+                    let f = _mm256_mul_ps(_mm256_cvtepi32_ps(*a), scale);
+                    // SAFETY: the slice above has exactly `NR` floats.
+                    _mm256_storeu_ps(row, f);
+                }
+            } else {
+                let mut sums = [[0i32; NR]; MR];
+                for (s, a) in sums.iter_mut().zip(&acc) {
+                    // SAFETY: `s` is `NR` = 8 `i32`, one register.
+                    _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, *a);
+                }
+                store_tile(out, i0, j0, &sums, out_scale);
+            }
+        }
     }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut total: i32 = lanes.iter().sum();
-    while i < n {
-        total += a[i] as i32 * b[i] as i32;
-        i += 1;
+}
+
+/// `a · bᵀ` accumulated in `i64`: the exact path for operands too wide or
+/// too deep for the `i32` kernel, and the oracle it is tested against.
+pub(crate) fn matmul_nt_i64<T: Copy + Into<i64>>(
+    a: &[T],
+    m: usize,
+    b: &[T],
+    n: usize,
+    k: usize,
+    out_scale: f32,
+) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+            let b_row = &b[j * k..(j + 1) * k];
+            let acc: i64 = a_row
+                .iter()
+                .zip(b_row)
+                .map(|(&x, &y)| x.into() * y.into())
+                .sum();
+            *o = acc as f32 * out_scale;
+        }
     }
-    total
+    out
 }
 
 /// An INT4 (or INT2) matrix packed two codes per byte, the density the
@@ -293,8 +413,8 @@ impl Int4Packed {
     }
 
     /// Integer matrix product with transposed right operand,
-    /// `self · otherᵀ`, dequantized by both scales. Rows unpack into
-    /// per-call `i8` strips that then run the same kernel as
+    /// `self · otherᵀ`, dequantized by both scales. Both operands unpack
+    /// once to `i8` codes that then run the same kernel as
     /// [`Int8Matrix::matmul_nt_dequant`] — unpacking is O((m+n)·k)
     /// against O(m·n·k) arithmetic.
     ///
@@ -310,24 +430,23 @@ impl Int4Packed {
             ));
         }
         let _prof = dota_prof::span("gemm.qmatmul_nt_i4");
-        let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        // Unpack all of `other` once (it is re-read per output row), and
-        // one row of `self` at a time.
-        let mut b_codes = vec![0i8; other.rows * other.cols];
-        for j in 0..other.rows {
-            other.unpack_row(j, &mut b_codes[j * other.cols..(j + 1) * other.cols]);
+        Ok(matmul_nt_codes(
+            &self.unpack(),
+            self.rows,
+            &other.unpack(),
+            other.rows,
+            self.cols,
+            self.scale * other.scale,
+        ))
+    }
+
+    /// Every row sign-extended to `i8` codes, row-major.
+    fn unpack(&self) -> Vec<i8> {
+        let mut codes = vec![0i8; self.rows * self.cols];
+        for (r, buf) in codes.chunks_exact_mut(self.cols.max(1)).enumerate() {
+            self.unpack_row(r, buf);
         }
-        let mut a_row = vec![0i8; self.cols];
-        for i in 0..self.rows {
-            self.unpack_row(i, &mut a_row);
-            let row = out.row_mut(i);
-            for (j, o) in row.iter_mut().enumerate() {
-                let b = &b_codes[j * other.cols..(j + 1) * other.cols];
-                *o = dot_i8(&a_row, b) as f32 * out_scale;
-            }
-        }
-        Ok(out)
+        codes
     }
 }
 
@@ -336,25 +455,73 @@ mod tests {
     use super::*;
     use dota_tensor::rng::SeededRng;
 
+    /// Depths around the pair and tile boundaries, the detector's 12, and
+    /// a deep product.
+    const DEPTHS: [usize; 10] = [1, 2, 11, 12, 13, 16, 17, 37, 64, 512];
+    /// Row and key counts that leave partial tiles (4 rows, 8 keys) too.
+    const SHAPES: [(usize, usize); 4] = [(9, 13), (1, 1), (4, 8), (6, 21)];
+
+    /// Row-major codes of a quantized matrix.
+    fn codes(q: &QuantizedMatrix) -> Vec<i32> {
+        (0..q.rows()).flat_map(|r| q.code_row(r).to_vec()).collect()
+    }
+
+    /// The `i64` scalar path on `qa · qbᵀ`.
+    fn i64_path(qa: &QuantizedMatrix, qb: &QuantizedMatrix) -> Matrix {
+        let (a, b) = (codes(qa), codes(qb));
+        let scale = qa.scale() * qb.scale();
+        matmul_nt_i64(&a, qa.rows(), &b, qb.rows(), qa.cols(), scale)
+    }
+
+    fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
+        assert_eq!(want.shape(), got.shape(), "{what}");
+        let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+        let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(want_bits, got_bits, "{what}");
+    }
+
     #[test]
     fn i8_matmul_matches_i32_reference_bitwise() {
+        // Integer accumulation has one possible answer; the f32 conversion
+        // and scaling are identical expressions — so the tiled kernel, on
+        // whichever lanes this host runs and on the portable tiles, must
+        // agree with the i64 path bit for bit, not just approximately.
         let mut rng = SeededRng::new(11);
         for p in [Precision::Int2, Precision::Int4, Precision::Int8] {
-            let a = rng.normal_matrix(9, 37, 1.0);
-            let b = rng.normal_matrix(13, 37, 1.0);
-            let qa = Quantizer::symmetric(p).quantize(&a);
-            let qb = Quantizer::symmetric(p).quantize(&b);
-            let want = qa.matmul_nt_dequant(&qb).unwrap();
-            let got = Int8Matrix::from_quantized(&qa)
-                .matmul_nt_dequant(&Int8Matrix::from_quantized(&qb))
-                .unwrap();
-            // Integer accumulation has one possible answer; the f32
-            // conversion and scaling are identical expressions — so the
-            // fast path must agree bit-for-bit, not just approximately.
-            let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-            let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(want_bits, got_bits, "{p}");
+            for k in DEPTHS {
+                for (m, n) in SHAPES {
+                    let what = format!("{p} {m}x{n}x{k}");
+                    let qa = Quantizer::symmetric(p).quantize(&rng.normal_matrix(m, k, 1.0));
+                    let qb = Quantizer::symmetric(p).quantize(&rng.normal_matrix(n, k, 1.0));
+                    let want = i64_path(&qa, &qb);
+                    let (a8, b8) = (
+                        Int8Matrix::from_quantized(&qa),
+                        Int8Matrix::from_quantized(&qb),
+                    );
+                    assert_bits_eq(&want, &a8.matmul_nt_dequant(&b8).unwrap(), &what);
+                    assert_bits_eq(&want, &qa.matmul_nt_dequant(&qb).unwrap(), &what);
+                    let mut scalar = Matrix::zeros(m, n);
+                    let packed = Packed::new(&a8.data, m, &b8.data, n, k);
+                    tiles_scalar(&packed, &mut scalar, a8.scale * b8.scale);
+                    assert_bits_eq(&want, &scalar, &what);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn i8_matmul_extreme_codes_do_not_overflow() {
+        // Every code at -128: each madd pair is 2·(-128)² = 2^15, the
+        // largest an i16 pair can make, summed over a deep product.
+        let q = Quantizer::symmetric(Precision::Int8);
+        let qa = q.quantize_with_scale(&Matrix::filled(5, 512, -1e3), 1.0);
+        let qb = q.quantize_with_scale(&Matrix::filled(11, 512, -1e3), 1.0);
+        assert_eq!(qa.code(0, 0), -128);
+        let got = Int8Matrix::from_quantized(&qa)
+            .matmul_nt_dequant(&Int8Matrix::from_quantized(&qb))
+            .unwrap();
+        assert_bits_eq(&i64_path(&qa, &qb), &got, "extreme codes");
+        assert_eq!(got[(4, 10)], (512 * 128 * 128) as f32);
     }
 
     #[test]
@@ -378,17 +545,18 @@ mod tests {
     #[test]
     fn int4_matmul_matches_i32_reference_bitwise() {
         let mut rng = SeededRng::new(13);
-        let a = rng.normal_matrix(6, 21, 1.0);
-        let b = rng.normal_matrix(8, 21, 1.0);
-        let qa = Quantizer::symmetric(Precision::Int4).quantize(&a);
-        let qb = Quantizer::symmetric(Precision::Int4).quantize(&b);
-        let want = qa.matmul_nt_dequant(&qb).unwrap();
-        let got = Int4Packed::from_quantized(&qa)
-            .matmul_nt_dequant(&Int4Packed::from_quantized(&qb))
-            .unwrap();
-        let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-        let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(want_bits, got_bits);
+        for p in [Precision::Int2, Precision::Int4] {
+            for k in DEPTHS {
+                for (m, n) in SHAPES {
+                    let qa = Quantizer::symmetric(p).quantize(&rng.normal_matrix(m, k, 1.0));
+                    let qb = Quantizer::symmetric(p).quantize(&rng.normal_matrix(n, k, 1.0));
+                    let got = Int4Packed::from_quantized(&qa)
+                        .matmul_nt_dequant(&Int4Packed::from_quantized(&qb))
+                        .unwrap();
+                    assert_bits_eq(&i64_path(&qa, &qb), &got, &format!("{p} {m}x{n}x{k}"));
+                }
+            }
+        }
     }
 
     #[test]

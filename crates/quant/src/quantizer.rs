@@ -140,11 +140,10 @@ impl QuantizedMatrix {
     /// This is the detector's estimated-score kernel `S̃ = Q̃ K̃^T`
     /// executed on low-precision PE rows of the RMMU.
     ///
-    /// When both operands fit `i8` codes and the depth is within the
-    /// `i32`-safe bound, this routes through the SIMD-capable kernel in
-    /// [`crate::qgemm`]; the result is bitwise identical (integer sums
-    /// have one value, and the scaling expression is the same), so callers
-    /// see only the speed.
+    /// When both operands fit `i8` codes this routes through the
+    /// SIMD-capable kernel in [`crate::qgemm`]; the result is bitwise
+    /// identical (integer sums have one value, and the scaling expression
+    /// is the same), so callers see only the speed.
     ///
     /// # Errors
     ///
@@ -157,25 +156,18 @@ impl QuantizedMatrix {
                 (other.rows, other.cols),
             ));
         }
-        if self.precision.bits() <= 8
-            && other.precision.bits() <= 8
-            && self.cols < crate::qgemm::I32_SAFE_K
-        {
+        if self.precision.bits() <= 8 && other.precision.bits() <= 8 {
             return crate::qgemm::Int8Matrix::from_quantized(self)
                 .matmul_nt_dequant(&crate::qgemm::Int8Matrix::from_quantized(other));
         }
-        let out_scale = self.scale * other.scale;
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a = self.code_row(i);
-            let row = out.row_mut(i);
-            for j in 0..other.rows {
-                let b = other.code_row(j);
-                let acc: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
-                row[j] = acc as f32 * out_scale;
-            }
-        }
-        Ok(out)
+        Ok(crate::qgemm::matmul_nt_i64(
+            &self.data,
+            self.rows,
+            &other.data,
+            other.rows,
+            self.cols,
+            self.scale * other.scale,
+        ))
     }
 
     /// Quantization signal-to-noise ratio in dB against a reference matrix.

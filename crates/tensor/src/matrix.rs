@@ -397,6 +397,21 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
+    /// Appends one row in place; the buffer grows amortised, so `t` appends
+    /// copy `O(t)` values in total where re-concatenating copies `O(t²)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] if `row.len() != cols`.
+    pub fn push_row(&mut self, row: &[f32]) -> Result<(), ShapeError> {
+        if row.len() != self.cols {
+            return Err(ShapeError::new("push_row", self.shape(), (1, row.len())));
+        }
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+        Ok(())
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -583,6 +598,12 @@ mod tests {
         assert!(Matrix::hcat(&[&a, &c]).is_err());
         let d = Matrix::filled(1, 3, 0.0);
         assert!(Matrix::vcat(&[&a, &d]).is_err());
+        let mut grown = Matrix::zeros(0, a.cols());
+        for r in 0..v.rows() {
+            grown.push_row(v.row(r)).unwrap();
+        }
+        assert_eq!(grown, v);
+        assert!(grown.push_row(&[1.0]).is_err());
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Naive reference GEMM kernels: the shared test oracle.
+//! Naive reference kernels: the shared test oracle.
 //!
 //! Every product in [`crate::Matrix`]'s optimized GEMM family (`A·B`,
 //! `A·Bᵀ`, `Aᵀ·B`) is validated against the corresponding textbook triple
 //! loop here, both by the unit tests in `gemm.rs` and by the property tests
-//! in `tests/parallel_kernels.rs`. Keeping the oracle in one place means
-//! there is exactly one definition of "the right answer" — the optimized
-//! kernels may reorder accumulation for speed, the oracle never does.
+//! in `tests/parallel_kernels.rs`; [`crate::topk::top_k_indices`] is
+//! validated against the full-sort [`top_k_indices`]. Keeping the oracle in
+//! one place means there is exactly one definition of "the right answer" —
+//! the optimized kernels may reorder work for speed, the oracle never does.
 
 use crate::Matrix;
+use std::cmp::Ordering;
 
 /// Textbook `A·B`: `out[i][j] = Σ_k a[i][k]·b[k][j]`, accumulated in
 /// ascending `k` order with a single accumulator.
@@ -68,4 +70,23 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// Full-sort top-k: every index sorted by value descending (NaN after every
+/// number, `-0.0` equal to `+0.0`), ties toward the lower index, then
+/// truncated to `k`.
+pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..row.len()).collect();
+    idx.sort_by(|&a, &b| {
+        let (x, y) = (row[a], row[b]);
+        let by_value = match (x.is_nan(), y.is_nan()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) => y.partial_cmp(&x).expect("neither value is NaN"),
+        };
+        by_value.then(a.cmp(&b))
+    });
+    idx.truncate(k);
+    idx
 }

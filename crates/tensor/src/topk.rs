@@ -10,8 +10,17 @@ use crate::Matrix;
 
 /// Indices of the `k` largest values in `row`, in descending value order.
 ///
-/// Ties are broken toward the lower index so that results are deterministic.
-/// If `k >= row.len()` every index is returned.
+/// The order is total: `-0.0` ranks equal to `+0.0`, NaN ranks after every
+/// number (below `-inf`), and ties of any kind go to the lower index, so
+/// results are deterministic. If `k >= row.len()` every index is returned.
+///
+/// Each score is packed with its index into one `u64` key whose integer
+/// order is that ranking, so only the `k` winners are sorted: `O(n + k log k)`
+/// per row instead of a full sort.
+///
+/// # Panics
+///
+/// Panics if `row` has more than `u32::MAX` entries.
 ///
 /// # Example
 ///
@@ -20,18 +29,50 @@ use crate::Matrix;
 ///
 /// let idx = top_k_indices(&[0.1, 0.9, 0.5], 2);
 /// assert_eq!(idx, vec![1, 2]);
+/// assert_eq!(top_k_indices(&[f32::NAN, -1.0], 1), vec![1]);
 /// ```
 pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..row.len()).collect();
     let k = k.min(row.len());
-    idx.sort_by(|&a, &b| {
-        row[b]
-            .partial_cmp(&row[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
+    if k == 0 {
+        return Vec::new();
+    }
+    assert!(
+        u32::try_from(row.len()).is_ok(),
+        "row of {} scores exceeds u32 indices",
+        row.len()
+    );
+    // Smaller key ranks first: the inverted score key in the high half,
+    // the index (the tie-break) in the low half.
+    let mut keys: Vec<u64> = row
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (u64::from(!score_key(x)) << 32) | i as u64)
+        .collect();
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| (key & 0xffff_ffff) as usize)
+        .collect()
+}
+
+/// Order-preserving `u32` key of a score: `a` ranks above `b` in
+/// [`top_k_indices`]'s order exactly when `score_key(a) > score_key(b)`.
+/// `-0.0` and `+0.0` share a key, and every NaN maps to `0`, below `-inf`.
+pub fn score_key(x: f32) -> u32 {
+    if x.is_nan() {
+        return 0;
+    }
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    // Negative floats order backwards as integers: flip them all; set the
+    // sign bit of the rest so they sit above every negative.
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000
+    }
 }
 
 /// Row-wise top-k selection over a score matrix, producing one index set per
@@ -134,6 +175,7 @@ pub fn row_counts(mask: &[Vec<bool>]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::rng::SeededRng;
 
     #[test]
@@ -148,6 +190,40 @@ mod tests {
     fn top_k_tie_break_deterministic() {
         let row = [1.0, 1.0, 1.0];
         assert_eq!(top_k_indices(&row, 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn nan_scores_rank_last_without_panicking() {
+        // A comparator that is not a total order makes the standard sort
+        // panic on wide rows with NaNs; NaN must instead rank after every
+        // number, ties toward the lower index.
+        let mut rng = SeededRng::new(3);
+        for _ in 0..20 {
+            let mut row: Vec<f32> = (0..2048).map(|_| rng.normal()).collect();
+            for _ in 0..64 {
+                let i = rng.below(row.len());
+                row[i] = f32::NAN;
+            }
+            let nans = row.iter().filter(|x| x.is_nan()).count();
+            let all = top_k_indices(&row, row.len());
+            assert_eq!(all, reference::top_k_indices(&row, row.len()));
+            let (numbers, tail) = all.split_at(row.len() - nans);
+            assert!(numbers.iter().all(|&i| !row[i].is_nan()));
+            assert!(tail.iter().all(|&i| row[i].is_nan()));
+            assert!(tail.windows(2).all(|w| w[0] < w[1]), "NaN ties by index");
+        }
+        assert_eq!(top_k_indices(&[f32::NAN, f32::NEG_INFINITY], 1), vec![1]);
+        assert_eq!(top_k_indices(&[f32::NAN, f32::NAN, 0.0], 2), vec![2, 0]);
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_infinities_rank_at_the_ends() {
+        let row = [0.0, -0.0, f32::INFINITY, -1.0, f32::NEG_INFINITY, -0.0];
+        assert_eq!(top_k_indices(&row, 6), vec![2, 0, 1, 5, 3, 4]);
+        assert!(score_key(-0.0) == score_key(0.0));
+        assert!(score_key(f32::NEG_INFINITY) > score_key(f32::NAN));
+        assert!(score_key(-f32::MIN_POSITIVE) < score_key(0.0));
+        assert!(score_key(f32::MIN_POSITIVE) > score_key(0.0));
     }
 
     #[test]
@@ -210,5 +286,48 @@ mod tests {
         let approx = top_k_rows(&noisy, 8);
         let recall = selection_recall(&exact, &approx);
         assert!(recall > 0.7, "recall {recall}");
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use crate::reference;
+    use crate::rng::SeededRng;
+    use proptest::prelude::*;
+
+    /// A row drawn from a small palette so ties are common (like quantized
+    /// scores), salted with signed zeros, infinities and NaNs.
+    fn palette_row(seed: u64, len: usize, specials: bool) -> Vec<f32> {
+        let mut rng = SeededRng::new(seed);
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        (0..len)
+            .map(|_| {
+                if specials && rng.below(4) == 0 {
+                    special[rng.below(special.len())]
+                } else {
+                    (rng.below(7) as f32 - 3.0) * 0.25
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The select-based top-k returns exactly the full sort's prefix for
+        /// every `k` from empty to past the row length.
+        #[test]
+        fn top_k_matches_full_sort(
+            seed in 0u64..1_000_000,
+            len in 0usize..300,
+            specials in any::<bool>(),
+        ) {
+            let row = palette_row(seed, len, specials);
+            let mut ks = vec![0, 1, len.saturating_sub(1), len, len + 1, len + 7];
+            ks.push(SeededRng::new(seed ^ 0x5eed).below(len + 1));
+            for k in ks {
+                prop_assert_eq!(top_k_indices(&row, k), reference::top_k_indices(&row, k));
+            }
+        }
     }
 }

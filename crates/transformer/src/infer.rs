@@ -257,7 +257,7 @@ impl crate::Model {
 
                 // A degenerate selection (corrupted indices, saturated
                 // detector, wrong shape) would poison the head or panic in
-                // mask construction; this head falls back to full dense
+                // the sparse kernel; this head falls back to full dense
                 // attention instead, and the fallback is counted.
                 let mut fell_back = false;
                 let selected = match hook.select(l, h, &x) {
@@ -269,19 +269,8 @@ impl crate::Model {
                     }
                     other => other,
                 };
-                let mask = build_mask(n, cfg.causal, selected.as_deref());
                 // Record the effective selection (after causal intersection).
-                let effective: Option<Vec<Vec<u32>>> = mask.map(|m| {
-                    m.iter()
-                        .map(|row| {
-                            row.iter()
-                                .enumerate()
-                                .filter(|(_, &keep)| keep)
-                                .map(|(j, _)| j as u32)
-                                .collect()
-                        })
-                        .collect()
-                });
+                let effective = effective_selection(n, cfg.causal, selected);
                 if dota_trace::enabled() {
                     let total = (n * n) as u64;
                     let kept = match &effective {
@@ -420,41 +409,33 @@ fn selection_degenerate(sel: &[Vec<u32>], n: usize, causal: bool) -> bool {
     }
 }
 
-/// Builds the boolean mask from an optional selection, intersecting with the
-/// causal constraint. Matches `model::combine_masks` semantics (a causal row
-/// never empties: the diagonal survives).
-fn build_mask(n: usize, causal: bool, selected: Option<&[Vec<u32>]>) -> Option<Vec<Vec<bool>>> {
-    match (causal, selected) {
-        (false, None) => None,
-        (false, Some(sel)) => Some(
-            sel.iter()
-                .map(|row| {
-                    let mut mask = vec![false; n];
-                    for &j in row {
-                        mask[j as usize] = true;
+/// The keys each query attends to: the hook's selection intersected with
+/// the causal constraint, every row index-ascending without duplicates —
+/// built from the rows themselves, with no `n × n` mask. Matches
+/// `model::combine_masks` semantics (a causal row never empties: the
+/// diagonal survives). `None` is dense non-causal attention; a causal
+/// model without a selection attends to the whole lower triangle.
+fn effective_selection(
+    n: usize,
+    causal: bool,
+    selected: Option<Vec<Vec<u32>>>,
+) -> Option<Vec<Vec<u32>>> {
+    match selected {
+        None if causal => Some((0..n as u32).map(|i| (0..=i).collect()).collect()),
+        None => None,
+        Some(mut sel) => {
+            for (i, row) in sel.iter_mut().enumerate() {
+                if causal {
+                    row.retain(|&j| j as usize <= i);
+                    if row.is_empty() {
+                        row.push(i as u32);
                     }
-                    mask
-                })
-                .collect(),
-        ),
-        (true, None) => Some((0..n).map(|i| (0..n).map(|j| j <= i).collect()).collect()),
-        (true, Some(sel)) => Some(
-            sel.iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    let mut mask = vec![false; n];
-                    for &j in row {
-                        if (j as usize) <= i {
-                            mask[j as usize] = true;
-                        }
-                    }
-                    if !mask.iter().any(|&b| b) {
-                        mask[i] = true;
-                    }
-                    mask
-                })
-                .collect(),
-        ),
+                }
+                row.sort_unstable();
+                row.dedup();
+            }
+            Some(sel)
+        }
     }
 }
 
@@ -633,11 +614,62 @@ mod tests {
     }
 
     #[test]
-    fn build_mask_causal_selection_keeps_diagonal() {
+    fn effective_selection_causal_selection_keeps_diagonal() {
         let sel = vec![vec![3u32], vec![2, 3]]; // all future for rows 0 and 1
-        let m = build_mask(4, true, Some(&sel)).unwrap();
-        assert!(m[0][0], "row 0 fell back to diagonal");
-        assert!(!m[0][3]);
-        assert!(m[1][1], "row 1 fell back to diagonal");
+        let eff = effective_selection(4, true, Some(sel)).unwrap();
+        assert_eq!(eff[0], vec![0], "row 0 fell back to diagonal");
+        assert_eq!(eff[1], vec![1], "row 1 fell back to diagonal");
+        assert_eq!(effective_selection(3, false, None), None);
+        let triangle = effective_selection(3, true, None).unwrap();
+        assert_eq!(triangle, vec![vec![0], vec![0, 1], vec![0, 1, 2]]);
+    }
+
+    /// The selection read back from an `n × n` boolean mask: causal
+    /// intersection, diagonal fallback, then a scan in index order.
+    fn mask_oracle(n: usize, causal: bool, sel: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        sel.iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut mask = vec![false; n];
+                for &j in row {
+                    if !causal || j as usize <= i {
+                        mask[j as usize] = true;
+                    }
+                }
+                if causal && !mask.contains(&true) {
+                    mask[i] = true;
+                }
+                (0..n as u32).filter(|&j| mask[j as usize]).collect()
+            })
+            .collect()
+    }
+
+    mod properties {
+        use super::*;
+        use dota_tensor::rng::SeededRng;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// Unsorted rows with duplicates give exactly what the mask
+            /// path gave, causal or not.
+            #[test]
+            fn effective_selection_matches_mask_oracle(
+                seed in 0u64..1_000_000,
+                n in 1usize..40,
+                causal in any::<bool>(),
+            ) {
+                let mut rng = SeededRng::new(seed);
+                let sel: Vec<Vec<u32>> = (0..n)
+                    .map(|_| {
+                        let len = 1 + rng.below(2 * n);
+                        (0..len).map(|_| rng.below(n) as u32).collect()
+                    })
+                    .collect();
+                let want = mask_oracle(n, causal, &sel);
+                let got = effective_selection(n, causal, Some(sel)).unwrap();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }
